@@ -1108,6 +1108,49 @@ mod tests {
     }
 
     #[test]
+    fn allocated_sms_follow_the_water_fill_and_contention_scale() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let c1 = gpu.add_context(68).unwrap();
+        let c2 = gpu.add_context(68).unwrap();
+        let s1 = gpu.add_stream(c1).unwrap();
+        let s2 = gpu.add_stream(c1).unwrap();
+        let s3 = gpu.add_stream(c2).unwrap();
+        gpu.submit(s1, WorkItem::new(1).with_kernel(KernelDesc::new(6_800.0, 68))).unwrap();
+        // The narrow kernel finishes first and then holds its stream through
+        // a 9 µs device-to-host copy.
+        let narrow =
+            WorkItem::new(2).with_kernel(KernelDesc::new(200.0, 20)).with_d2h_bytes(12_000);
+        gpu.submit(s2, narrow).unwrap();
+        gpu.submit(s3, WorkItem::new(3).with_kernel(KernelDesc::new(6_800.0, 68))).unwrap();
+
+        // Still launching: nothing holds SMs.
+        gpu.advance_to(SimTime::from_micros(3));
+        assert_eq!(gpu.utilization_sample().allocated_sms, 0.0);
+        assert_eq!(gpu.context_state(c1).unwrap().allocated_sms, 0.0);
+
+        // Water-fill gives c1 48 + 20 and c2 68; 136 SMs of demand on a
+        // 68-SM device scale everything by one half.
+        gpu.advance_to(SimTime::from_micros(6));
+        let sample = gpu.utilization_sample();
+        assert_eq!(sample.allocated_sms, 68.0);
+        assert_eq!(sample.fraction, 1.0);
+        assert_eq!(gpu.context_state(c1).unwrap().allocated_sms, 34.0);
+        assert_eq!(gpu.context_state(c2).unwrap().allocated_sms, 34.0);
+
+        // The narrow kernel is done (5 + 200/10 µs) and copying out: it
+        // holds no SMs, and the wide kernel in c1 takes the whole half.
+        gpu.advance_to(SimTime::from_micros(30));
+        assert_eq!(gpu.stream_state(s2).unwrap().queued_items, 1);
+        assert_eq!(gpu.utilization_sample().allocated_sms, 68.0);
+        assert_eq!(gpu.context_state(c1).unwrap().allocated_sms, 34.0);
+        assert_eq!(gpu.context_state(c2).unwrap().allocated_sms, 34.0);
+
+        gpu.run_to_idle();
+        assert_eq!(gpu.utilization_sample().allocated_sms, 0.0);
+        assert_eq!(gpu.context_state(c2).unwrap().allocated_sms, 0.0);
+    }
+
+    #[test]
     fn isolated_quotas_waste_capacity_when_one_context_idles() {
         // One busy context with a 34-SM quota on a 68-SM device cannot use the
         // other half even though it is idle (the OS = 1 effect of the paper).

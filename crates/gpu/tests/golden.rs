@@ -77,6 +77,28 @@ fn check_or_regen(name: &str, completions: &[Completion]) {
     }
 }
 
+/// Engine accumulators at the end of a golden workload. The completion
+/// streams pin *when* items finish; these pin how many transitions fired on
+/// the way and the exact floating-point work and utilization integrals, so a
+/// change to the per-event bookkeeping that happens to preserve completion
+/// timestamps still cannot drift unnoticed. Recorded alongside the traces;
+/// never regenerated by `DARIS_REGEN_GOLDEN`.
+#[derive(Debug, PartialEq, Eq)]
+struct Counters {
+    events: u64,
+    completed_work_bits: u64,
+    utilization_bits: u64,
+}
+
+fn check_counters(gpu: &Gpu, expected: Counters) {
+    let actual = Counters {
+        events: gpu.events_processed(),
+        completed_work_bits: gpu.completed_work().to_bits(),
+        utilization_bits: gpu.average_utilization().to_bits(),
+    };
+    assert_eq!(actual, expected, "engine accumulators diverged from the recorded values");
+}
+
 /// A pseudo-random work item: 1–3 kernels, varying work/parallelism, and
 /// (for some items) host/device copies.
 fn random_item(rng: &mut XorShiftRng, tag: u64) -> WorkItem {
@@ -116,6 +138,14 @@ fn golden_burst_multi_context() {
     let done = gpu.run_to_idle();
     assert_eq!(done.len(), 48);
     check_or_regen("burst_multi_context", &done);
+    check_counters(
+        &gpu,
+        Counters {
+            events: 231,
+            completed_work_bits: 0x4108cf9e9b621c40,
+            utilization_bits: 0x3fe9f68e6c275c99,
+        },
+    );
 }
 
 /// Workload 2: staggered submissions — batches arrive at random times while
@@ -147,6 +177,14 @@ fn golden_staggered_arrivals() {
     all.extend(gpu.run_to_idle());
     assert_eq!(all.len(), tag as usize);
     check_or_regen("staggered_arrivals", &all);
+    check_counters(
+        &gpu,
+        Counters {
+            events: 324,
+            completed_work_bits: 0x411116b8dbd91cfc,
+            utilization_bits: 0x3fe32bfdd4f4f2f7,
+        },
+    );
 }
 
 /// Workload 3: heavy oversubscription — 4 full-width contexts fighting for
@@ -173,6 +211,14 @@ fn golden_oversubscribed_small_steps() {
     }
     assert_eq!(all.len(), 40);
     check_or_regen("oversubscribed_small_steps", &all);
+    check_counters(
+        &gpu,
+        Counters {
+            events: 210,
+            completed_work_bits: 0x4104b1db0e3dbc74,
+            utilization_bits: 0x3fe15734530706f7,
+        },
+    );
 }
 
 /// FNV-1a over the serialized completion stream: a stable digest for

@@ -15,36 +15,37 @@
 //! Kernel progress is the time-integral of its allocated SMs; a kernel
 //! completes when the integral reaches its `work`.
 //!
-//! # Event calendar
+//! # Next event
 //!
-//! Time advancement is driven by a [`BinaryHeap`] **event calendar** of
-//! `(SimTime, EventKind)` entries with *lazy invalidation*: every work item
-//! carries an epoch counter that is bumped whenever its state or predicted
-//! finish time changes, and calendar entries record the epoch they were
-//! scheduled under. Stale entries (mismatched epoch) are discarded when they
-//! surface at the top of the heap, so [`Gpu::next_event_time`] is a plain
-//! heap peek instead of a scan over all in-flight items.
+//! Every in-flight phase carries its *due time*, the instant it ends:
 //!
-//! * **Launch** and **copy** completions are scheduled once: their remaining
-//!   times shrink by exact integer-nanosecond subtraction, so the absolute
-//!   completion instant never moves.
-//! * **Compute** completions depend on the floating-point SM rate, which can
-//!   change on every [`replan`](Gpu::submit); they are rescheduled (epoch
-//!   bump + new entry) whenever allocations are recomputed — with the same
-//!   arithmetic the previous scan-based engine used, keeping event times
-//!   bit-identical (pinned by the golden-trace tests).
+//! * **Launch** and **copy** phases end at a fixed instant set when they
+//!   start (`now` plus an integer-nanosecond duration), which never moves.
+//! * **Compute** phases end at `now + work_remaining / rate`, which depends
+//!   on the floating-point SM rate. Every replan recomputes it for every
+//!   computing kernel, rounded to nanoseconds and floored at 1 ns.
 //!
-//! Bookkeeping that used to scan every pending item is incremental: a
-//! `running` set (at most one item per stream) bounds progress application
-//! and transition checks, and per-context *computing* sets with dirty flags
-//! let `replan` reuse cached water-filling for contexts whose membership did
-//! not change.
+//! Every public mutation ends in a replan, which already visits every
+//! computing kernel, so it also stores the minimum due time over the copy
+//! engine and the running items; [`Gpu::next_event_time`] returns that
+//! field. Due times only say *when* to stop: which transitions fire at that
+//! instant is decided by scanning the running items in ascending id order,
+//! so float sums and RNG draws always happen in the same order (pinned by
+//! the golden-trace tests).
+//!
+//! Bookkeeping touches only what is in flight. Items live in a slab indexed
+//! by id; ids are handed out monotonically, so the slab spans only the live
+//! id range. A sorted `running` list (at most one item per stream) bounds
+//! progress application and transition checks, and per-context sorted
+//! *computing* lists with dirty flags let `replan` reuse cached
+//! water-filling for contexts whose membership did not change. The scratch
+//! buffers of the transition scan and the water-fill are reused, so an
+//! event allocates nothing.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::context::Context;
-use crate::kernel::{KernelDesc, KernelPhase, WorkItem, WorkItemId};
+use crate::kernel::{KernelPhase, WorkItem, WorkItemId};
 use crate::stream::Stream;
 use crate::trace::{ReplanEvent, Trace, TraceEvent, TraceEventKind};
 use crate::{
@@ -100,7 +101,7 @@ pub struct GpuUtilizationSample {
     pub fraction: f64,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ItemState {
     /// Behind other items in its stream.
     Queued,
@@ -114,8 +115,6 @@ enum ItemState {
     PendingCopyOut,
     /// Device-to-host copy in flight.
     CopyingOut,
-    /// Finished (kept only until reported).
-    Done,
 }
 
 #[derive(Debug, Clone)]
@@ -128,11 +127,82 @@ struct ItemInstance {
     started_at: Option<SimTime>,
     state: ItemState,
     kernel_index: usize,
-    launch_remaining: SimDuration,
     work_remaining: f64,
-    /// Lazy-invalidation epoch: calendar entries scheduled for this item are
-    /// only honoured while their recorded epoch matches.
-    epoch: u64,
+    /// SM rate (SMs × efficiency) while computing, as of the last replan;
+    /// zero in every other state.
+    rate: f64,
+    /// When the current launch or compute phase ends; `None` outside those
+    /// phases and while computing at a zero rate.
+    due: Option<SimTime>,
+}
+
+impl ItemInstance {
+    fn is_computing(&self) -> bool {
+        self.state == ItemState::Running(KernelPhase::Computing)
+    }
+}
+
+/// Live work items indexed by id: slot `i` holds item `base + i`, or `None`
+/// once it finished. Ids are handed out monotonically, so submission appends
+/// and finished slots at the front are popped: the slab spans only the live
+/// id range.
+#[derive(Debug, Default)]
+struct ItemSlab {
+    base: u64,
+    slots: VecDeque<Option<ItemInstance>>,
+}
+
+impl ItemSlab {
+    fn push(&mut self, item: ItemInstance) -> WorkItemId {
+        let id = WorkItemId(self.base + self.slots.len() as u64);
+        self.slots.push_back(Some(item));
+        id
+    }
+
+    fn slot(&self, id: WorkItemId) -> Option<usize> {
+        id.0.checked_sub(self.base).map(|i| i as usize)
+    }
+
+    fn get(&self, id: WorkItemId) -> Option<&ItemInstance> {
+        self.slots.get(self.slot(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: WorkItemId) -> Option<&mut ItemInstance> {
+        let slot = self.slot(id)?;
+        self.slots.get_mut(slot)?.as_mut()
+    }
+
+    fn remove(&mut self, id: WorkItemId) {
+        if let Some(slot) = self.slot(id).and_then(|s| self.slots.get_mut(s)) {
+            *slot = None;
+        }
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+/// Inserts `id` into an ascending list; returns whether it was absent.
+fn insert_sorted(ids: &mut Vec<WorkItemId>, id: WorkItemId) -> bool {
+    match ids.binary_search(&id) {
+        Ok(_) => false,
+        Err(pos) => {
+            ids.insert(pos, id);
+            true
+        }
+    }
+}
+
+/// Removes `id` from an ascending list; returns whether it was present.
+fn remove_sorted(ids: &mut Vec<WorkItemId>, id: WorkItemId) -> bool {
+    match ids.binary_search(&id) {
+        Ok(pos) => {
+            ids.remove(pos);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,40 +215,15 @@ enum CopyDirection {
 struct ActiveCopy {
     item: WorkItemId,
     direction: CopyDirection,
-    remaining: SimDuration,
+    due: SimTime,
 }
 
-/// What a calendar entry announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The single copy engine finishes its active transfer.
-    Copy { epoch: u64 },
-    /// `item` finishes its serial kernel-launch phase.
-    Launch { item: WorkItemId, epoch: u64 },
-    /// `item` exhausts its kernel's work at the rate in force when scheduled.
-    Compute { item: WorkItemId, epoch: u64 },
-}
-
-/// One entry of the event calendar. Ordered by `(at, seq)`; `seq` is a
-/// deterministic tie-breaker (scheduling order) so heap order never depends
-/// on the payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CalendarEntry {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialOrd for CalendarEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CalendarEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
+/// Reusable buffers for [`water_fill`] inputs and bookkeeping.
+#[derive(Debug, Default)]
+struct FillScratch {
+    kernels: Vec<(WorkItemId, u32)>,
+    unsatisfied: Vec<usize>,
+    next_unsatisfied: Vec<usize>,
 }
 
 /// The simulated GPU device.
@@ -190,26 +235,25 @@ pub struct Gpu {
     now: SimTime,
     contexts: Vec<Context>,
     streams: Vec<Stream>,
-    items: BTreeMap<WorkItemId, ItemInstance>,
-    next_item_id: u64,
+    items: ItemSlab,
     copy_queue: VecDeque<(WorkItemId, CopyDirection)>,
     active_copy: Option<ActiveCopy>,
-    /// Current SM rate (SMs × efficiency) per actively computing item.
-    rates: BTreeMap<WorkItemId, f64>,
-    /// The event calendar (min-heap by event time, lazily invalidated).
-    calendar: BinaryHeap<Reverse<CalendarEntry>>,
-    /// Monotonic scheduling counter used as the calendar tie-breaker.
-    cal_seq: u64,
-    /// Epoch of the copy engine's active transfer (bumped per transfer).
-    copy_epoch: u64,
-    /// Items currently launching or computing (at most one per stream).
-    running: BTreeSet<WorkItemId>,
-    /// Computing items per context (indexed by context), kept incrementally.
-    computing: Vec<BTreeSet<WorkItemId>>,
+    /// Earliest due time of the active copy and the running items, as of
+    /// the last replan.
+    next_event: Option<SimTime>,
+    /// Items currently launching or computing (at most one per stream), in
+    /// ascending id order.
+    running: Vec<WorkItemId>,
+    /// Computing items per context (indexed by context), in ascending id
+    /// order, kept incrementally.
+    computing: Vec<Vec<WorkItemId>>,
     /// Contexts whose computing membership changed since the last replan.
     ctx_dirty: Vec<bool>,
     /// Cached water-fill allocation per context (valid while not dirty).
     ctx_alloc: Vec<Vec<(WorkItemId, f64)>>,
+    /// Snapshot of `running` that a transition pass iterates over.
+    transition_scratch: Vec<WorkItemId>,
+    fill_scratch: FillScratch,
     memory: MemoryPool,
     trace: Trace,
     rng: XorShiftRng,
@@ -229,18 +273,16 @@ impl Gpu {
             now: SimTime::ZERO,
             contexts: Vec::new(),
             streams: Vec::new(),
-            items: BTreeMap::new(),
-            next_item_id: 0,
+            items: ItemSlab::default(),
             copy_queue: VecDeque::new(),
             active_copy: None,
-            rates: BTreeMap::new(),
-            calendar: BinaryHeap::new(),
-            cal_seq: 0,
-            copy_epoch: 0,
-            running: BTreeSet::new(),
+            next_event: None,
+            running: Vec::new(),
             computing: Vec::new(),
             ctx_dirty: Vec::new(),
             ctx_alloc: Vec::new(),
+            transition_scratch: Vec::new(),
+            fill_scratch: FillScratch::default(),
             memory,
             trace: Trace::new(),
             rng,
@@ -273,7 +315,7 @@ impl Gpu {
         let quota = sm_quota.min(self.spec.sm_count);
         let id = ContextId(self.contexts.len() as u32);
         self.contexts.push(Context::new(id, quota));
-        self.computing.push(BTreeSet::new());
+        self.computing.push(Vec::new());
         self.ctx_dirty.push(false);
         self.ctx_alloc.push(Vec::new());
         Ok(id)
@@ -366,10 +408,8 @@ impl Gpu {
             .get(stream.index())
             .map(|s| s.context)
             .ok_or(GpuError::UnknownStream(stream))?;
-        let id = WorkItemId(self.next_item_id);
-        self.next_item_id += 1;
         let tag = item.tag;
-        let instance = ItemInstance {
+        let id = self.items.push(ItemInstance {
             tag,
             stream,
             context,
@@ -378,11 +418,10 @@ impl Gpu {
             started_at: None,
             state: ItemState::Queued,
             kernel_index: 0,
-            launch_remaining: SimDuration::ZERO,
             work_remaining: 0.0,
-            epoch: 0,
-        };
-        self.items.insert(id, instance);
+            rate: 0.0,
+            due: None,
+        });
         self.streams[stream.index()].queue.push_back(id);
         self.pending_count += 1;
         self.trace.record(TraceEvent {
@@ -435,8 +474,8 @@ impl Gpu {
         let s = self.streams.get(stream.index()).ok_or(GpuError::UnknownStream(stream))?;
         let busy = s
             .active_item()
-            .and_then(|id| self.items.get(&id))
-            .map(|i| !matches!(i.state, ItemState::Queued | ItemState::Done))
+            .and_then(|id| self.items.get(id))
+            .map(|i| i.state != ItemState::Queued)
             .unwrap_or(false);
         Ok(StreamState { id: s.id, context: s.context, queued_items: s.queue.len(), busy })
     }
@@ -457,7 +496,7 @@ impl Gpu {
                 }
             }
             if let Some(item) = self.streams[sid.index()].active_item() {
-                allocated += self.rates.get(&item).copied().unwrap_or(0.0);
+                allocated += self.items.get(item).map_or(0.0, |i| i.rate);
             }
         }
         Ok(ContextState {
@@ -499,7 +538,13 @@ impl Gpu {
 
     /// Instantaneous utilization sample.
     pub fn utilization_sample(&self) -> GpuUtilizationSample {
-        let allocated: f64 = self.rates.values().sum();
+        let allocated: f64 = self
+            .running
+            .iter()
+            .filter_map(|id| self.items.get(*id))
+            .filter(|item| item.is_computing())
+            .map(|item| item.rate)
+            .sum();
         GpuUtilizationSample {
             at: self.now,
             allocated_sms: allocated,
@@ -509,14 +554,10 @@ impl Gpu {
 
     /// Time of the next internal state transition, if any work is in flight.
     ///
-    /// A heap peek: every public mutation re-establishes the invariant that
-    /// the calendar's top entry is live, so no scan is needed.
+    /// Every public mutation ends in a replan that stores this minimum, so
+    /// this is a field read.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        debug_assert!(
-            self.calendar.peek().map(|Reverse(e)| self.entry_live(e)).unwrap_or(true),
-            "calendar top must be live at public boundaries"
-        );
-        self.calendar.peek().map(|Reverse(e)| e.at)
+        self.next_event
     }
 
     /// Advances the simulation to exactly `target`, processing every internal
@@ -528,8 +569,7 @@ impl Gpu {
     pub fn advance_to(&mut self, target: SimTime) -> Vec<Completion> {
         let mut completions = Vec::new();
         while self.now < target {
-            let next = self.next_event_time();
-            let step_to = match next {
+            let step_to = match self.next_event {
                 Some(t) if t <= target => t,
                 _ => target,
             };
@@ -557,7 +597,7 @@ impl Gpu {
     /// Starts the item at the front of `stream` if it is still `Queued`.
     fn activate_front(&mut self, stream: StreamId) {
         let Some(item_id) = self.streams[stream.index()].active_item() else { return };
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         if item.state != ItemState::Queued {
             return;
         }
@@ -588,37 +628,32 @@ impl Gpu {
         };
         let default_launch = self.spec.default_launch_overhead;
         let now = self.now;
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         // A back-to-back kernel of the same item leaves the computing set.
-        let was_computing = matches!(item.state, ItemState::Running(KernelPhase::Computing));
+        let was_computing = item.is_computing();
         let ctx = item.context.index();
-        let desc: &KernelDesc = &item.spec.kernels[index];
+        let desc = &item.spec.kernels[index];
         item.kernel_index = index;
-        item.launch_remaining = desc.launch_overhead.unwrap_or(default_launch);
+        item.due = Some(now + desc.launch_overhead.unwrap_or(default_launch));
         item.work_remaining = desc.work * jitter;
+        item.rate = 0.0;
         item.state = ItemState::Running(KernelPhase::Launching);
-        item.epoch += 1;
-        let epoch = item.epoch;
-        let at = now + item.launch_remaining;
-        let (tag, stream, context) = (item.tag, item.stream, item.context);
-        let label = if index == 0 { item.spec.kernels[0].label.clone() } else { None };
-        if was_computing {
-            self.computing[ctx].remove(&item_id);
-            self.ctx_dirty[ctx] = true;
-        }
-        self.running.insert(item_id);
-        self.push_event(at, EventKind::Launch { item: item_id, epoch });
-        if index == 0 {
+        if index == 0 && self.trace.is_enabled() {
             self.trace.record(TraceEvent {
-                at: self.now,
+                at: now,
                 kind: TraceEventKind::ExecutionStarted,
                 item: item_id,
-                tag,
-                stream,
-                context,
-                label,
+                tag: item.tag,
+                stream: item.stream,
+                context: item.context,
+                label: item.spec.kernels[0].label.clone(),
             });
         }
+        if was_computing {
+            remove_sorted(&mut self.computing[ctx], item_id);
+            self.ctx_dirty[ctx] = true;
+        }
+        insert_sorted(&mut self.running, item_id);
     }
 
     /// Starts the next queued copy if the engine is idle.
@@ -627,7 +662,7 @@ impl Gpu {
             return;
         }
         let Some((item_id, direction)) = self.copy_queue.pop_front() else { return };
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         let bytes = match direction {
             CopyDirection::HostToDevice => item.spec.h2d_bytes,
             CopyDirection::DeviceToHost => item.spec.d2h_bytes,
@@ -635,13 +670,13 @@ impl Gpu {
         let transfer = SimDuration::from_micros_f64(
             bytes as f64 / self.spec.copy_bandwidth_bytes_per_us.max(1e-9),
         );
-        let remaining = self.spec.copy_latency + transfer;
+        let due = self.now + self.spec.copy_latency + transfer;
         item.state = match direction {
             CopyDirection::HostToDevice => ItemState::CopyingIn,
             CopyDirection::DeviceToHost => ItemState::CopyingOut,
         };
         let (tag, stream, context) = (item.tag, item.stream, item.context);
-        self.active_copy = Some(ActiveCopy { item: item_id, direction, remaining });
+        self.active_copy = Some(ActiveCopy { item: item_id, direction, due });
         if direction == CopyDirection::DeviceToHost {
             self.trace.record(TraceEvent {
                 at: self.now,
@@ -653,16 +688,13 @@ impl Gpu {
                 label: None,
             });
         }
-        // Copy durations shrink by exact integer subtraction, so the
-        // completion instant is fixed at start: schedule it once.
-        self.copy_epoch += 1;
-        self.push_event(self.now + remaining, EventKind::Copy { epoch: self.copy_epoch });
     }
 
-    /// Applies `dt` of progress to every running kernel and the active copy.
+    /// Applies `dt` of compute progress to every computing kernel.
     ///
-    /// Only the `running` set (at most one item per stream) is visited;
-    /// queued items have no progress to apply.
+    /// Only the `running` list (at most one item per stream) is visited;
+    /// queued items have no progress to apply. Launch and copy phases need
+    /// none: they end at their fixed due time.
     fn apply_progress(&mut self, dt: SimDuration) {
         if dt.is_zero() {
             return;
@@ -670,22 +702,12 @@ impl Gpu {
         let dt_us = dt.as_micros_f64();
         let mut executed = 0.0;
         for id in &self.running {
-            let Some(item) = self.items.get_mut(id) else { continue };
-            match item.state {
-                ItemState::Running(KernelPhase::Launching) => {
-                    item.launch_remaining = item.launch_remaining.saturating_sub(dt);
-                }
-                ItemState::Running(KernelPhase::Computing) => {
-                    let rate = self.rates.get(id).copied().unwrap_or(0.0);
-                    let done = (rate * dt_us).min(item.work_remaining);
-                    item.work_remaining -= done;
-                    executed += done;
-                }
-                _ => {}
+            let Some(item) = self.items.get_mut(*id) else { continue };
+            if item.is_computing() {
+                let done = (item.rate * dt_us).min(item.work_remaining);
+                item.work_remaining -= done;
+                executed += done;
             }
-        }
-        if let Some(copy) = &mut self.active_copy {
-            copy.remaining = copy.remaining.saturating_sub(dt);
         }
         self.completed_work += executed;
         self.busy_sm_integral_us += executed;
@@ -694,14 +716,14 @@ impl Gpu {
     /// Fires every transition that is due at the current time, then replans
     /// allocations.
     fn apply_transitions(&mut self, completions: &mut Vec<Completion>) {
+        let now = self.now;
+        let mut ids = std::mem::take(&mut self.transition_scratch);
         let mut changed = true;
         while changed {
             changed = false;
 
             // Copy completion.
-            let copy_done =
-                self.active_copy.as_ref().map(|c| c.remaining.is_zero()).unwrap_or(false);
-            if copy_done {
+            if self.active_copy.as_ref().is_some_and(|c| c.due <= now) {
                 let copy = self.active_copy.take().expect("checked above");
                 changed = true;
                 self.events_processed += 1;
@@ -717,83 +739,67 @@ impl Gpu {
             }
 
             // Kernel phase transitions: only running items can transition.
-            let ids: Vec<WorkItemId> = self.running.iter().copied().collect();
-            for id in ids {
-                let (state, launch_left, work_left, kernel_index, kernel_count) = {
-                    let Some(item) = self.items.get(&id) else { continue };
-                    (
-                        item.state.clone(),
-                        item.launch_remaining,
-                        item.work_remaining,
-                        item.kernel_index,
-                        item.spec.kernels.len(),
-                    )
-                };
-                match state {
-                    ItemState::Running(KernelPhase::Launching) if launch_left.is_zero() => {
-                        if let Some(item) = self.items.get_mut(&id) {
-                            item.state = ItemState::Running(KernelPhase::Computing);
-                            item.epoch += 1;
-                            let ctx = item.context.index();
-                            self.computing[ctx].insert(id);
-                            self.ctx_dirty[ctx] = true;
-                        }
+            ids.clear();
+            ids.extend_from_slice(&self.running);
+            for &id in &ids {
+                let Some(item) = self.items.get_mut(id) else { continue };
+                match item.state {
+                    ItemState::Running(KernelPhase::Launching)
+                        if item.due.is_some_and(|due| due <= now) =>
+                    {
+                        item.state = ItemState::Running(KernelPhase::Computing);
+                        item.due = None;
+                        let ctx = item.context.index();
+                        insert_sorted(&mut self.computing[ctx], id);
+                        self.ctx_dirty[ctx] = true;
                         changed = true;
                         self.events_processed += 1;
                     }
-                    ItemState::Running(KernelPhase::Computing) if work_left <= WORK_EPSILON => {
+                    ItemState::Running(KernelPhase::Computing)
+                        if item.work_remaining <= WORK_EPSILON =>
+                    {
                         changed = true;
                         self.events_processed += 1;
-                        let (tag, stream, context, label) = {
-                            let item = self.items.get(&id).expect("item exists");
-                            (
-                                item.tag,
-                                item.stream,
-                                item.context,
-                                item.spec.kernels[kernel_index].label.clone(),
-                            )
-                        };
-                        self.trace.record(TraceEvent {
-                            at: self.now,
-                            kind: TraceEventKind::KernelCompleted,
-                            item: id,
-                            tag,
-                            stream,
-                            context,
-                            label,
-                        });
-                        if kernel_index + 1 < kernel_count {
+                        let kernel_index = item.kernel_index;
+                        if self.trace.is_enabled() {
+                            self.trace.record(TraceEvent {
+                                at: now,
+                                kind: TraceEventKind::KernelCompleted,
+                                item: id,
+                                tag: item.tag,
+                                stream: item.stream,
+                                context: item.context,
+                                label: item.spec.kernels[kernel_index].label.clone(),
+                            });
+                        }
+                        if kernel_index + 1 < item.spec.kernels.len() {
                             self.start_kernel(id, kernel_index + 1);
+                        } else if item.spec.d2h_bytes > 0 {
+                            item.state = ItemState::PendingCopyOut;
+                            item.rate = 0.0;
+                            item.due = None;
+                            let ctx = item.context.index();
+                            remove_sorted(&mut self.computing[ctx], id);
+                            self.ctx_dirty[ctx] = true;
+                            remove_sorted(&mut self.running, id);
+                            self.copy_queue.push_back((id, CopyDirection::DeviceToHost));
+                            self.pump_copy_engine();
                         } else {
-                            let d2h = self.items.get(&id).map(|i| i.spec.d2h_bytes).unwrap_or(0);
-                            if d2h > 0 {
-                                if let Some(item) = self.items.get_mut(&id) {
-                                    item.state = ItemState::PendingCopyOut;
-                                    item.epoch += 1;
-                                    let ctx = item.context.index();
-                                    self.computing[ctx].remove(&id);
-                                    self.ctx_dirty[ctx] = true;
-                                }
-                                self.running.remove(&id);
-                                self.copy_queue.push_back((id, CopyDirection::DeviceToHost));
-                                self.pump_copy_engine();
-                            } else {
-                                self.finish_item(id, completions);
-                            }
+                            self.finish_item(id, completions);
                         }
                     }
                     _ => {}
                 }
             }
         }
+        self.transition_scratch = ids;
         self.replan();
     }
 
     /// Marks an item complete, emits its completion, and activates the next
     /// item in its stream.
     fn finish_item(&mut self, item_id: WorkItemId, completions: &mut Vec<Completion>) {
-        let Some(item) = self.items.get_mut(&item_id) else { return };
-        item.state = ItemState::Done;
+        let Some(item) = self.items.get(item_id) else { return };
         let completion = Completion {
             tag: item.tag,
             item: item_id,
@@ -804,6 +810,7 @@ impl Gpu {
             finished_at: self.now,
         };
         let stream = item.stream;
+        let context = item.context.index();
         self.trace.record(TraceEvent {
             at: self.now,
             kind: TraceEventKind::ItemCompleted,
@@ -814,11 +821,9 @@ impl Gpu {
             label: None,
         });
         completions.push(completion);
-        let context = self.items[&item_id].context.index();
-        self.items.remove(&item_id);
-        self.rates.remove(&item_id);
-        self.running.remove(&item_id);
-        if self.computing[context].remove(&item_id) {
+        self.items.remove(item_id);
+        remove_sorted(&mut self.running, item_id);
+        if remove_sorted(&mut self.computing[context], item_id) {
             self.ctx_dirty[context] = true;
         }
         self.pending_count = self.pending_count.saturating_sub(1);
@@ -832,30 +837,28 @@ impl Gpu {
         self.activate_front(stream);
     }
 
-    /// Recomputes SM allocation rates for every computing kernel and
-    /// reschedules their compute-finish events on the calendar.
+    /// Recomputes SM allocation rates and compute due times for every
+    /// computing kernel, then the next event time.
     ///
     /// Water-filling is cached per context and only recomputed for contexts
     /// whose computing membership changed since the last replan (`ctx_dirty`).
     /// The cross-context contention scale still applies globally, but that is
     /// a single multiply per computing item.
     fn replan(&mut self) {
-        self.rates.clear();
         // Refresh the water-fill cache of dirty contexts.
         for ctx in 0..self.contexts.len() {
             if !self.ctx_dirty[ctx] {
                 continue;
             }
             self.ctx_dirty[ctx] = false;
-            let kernels: Vec<(WorkItemId, u32)> = self.computing[ctx]
-                .iter()
-                .map(|id| {
-                    let item = &self.items[id];
-                    (*id, item.spec.kernels[item.kernel_index].parallelism)
-                })
-                .collect();
+            let FillScratch { kernels, unsatisfied, next_unsatisfied } = &mut self.fill_scratch;
+            kernels.clear();
+            kernels.extend(self.computing[ctx].iter().map(|&id| {
+                let item = self.items.get(id).expect("computing items are live");
+                (id, item.spec.kernels[item.kernel_index].parallelism)
+            }));
             let quota = f64::from(self.contexts[ctx].sm_quota);
-            self.ctx_alloc[ctx] = water_fill(quota, &kernels);
+            water_fill(quota, kernels, &mut self.ctx_alloc[ctx], unsatisfied, next_unsatisfied);
         }
         let mut total = 0.0;
         let mut busy_contexts = 0usize;
@@ -876,117 +879,71 @@ impl Gpu {
                     utilization: 0.0,
                 });
             }
-            self.clean_calendar();
-            return;
-        }
-        let sm_count = f64::from(self.spec.sm_count);
-        let scale = if total > sm_count { sm_count / total } else { 1.0 };
-        let demand_ratio = total / sm_count;
-        let efficiency = self.spec.interference.efficiency(busy_contexts, demand_ratio);
-        let factor = scale * efficiency;
-        if self.trace.is_enabled() {
-            let allocated = (total * factor / sm_count).min(1.0);
-            self.trace.record_replan(ReplanEvent {
-                at: self.now,
-                computing: busy_contexts as u32,
-                utilization: allocated,
-            });
-        }
-        // Apply the global factor and reschedule each compute-finish event
-        // with the exact arithmetic the scan-based engine used.
-        let now = self.now;
-        for ctx in 0..self.contexts.len() {
-            for i in 0..self.ctx_alloc[ctx].len() {
-                let (id, alloc) = self.ctx_alloc[ctx][i];
+        } else {
+            let sm_count = f64::from(self.spec.sm_count);
+            let scale = if total > sm_count { sm_count / total } else { 1.0 };
+            let demand_ratio = total / sm_count;
+            let efficiency = self.spec.interference.efficiency(busy_contexts, demand_ratio);
+            let factor = scale * efficiency;
+            if self.trace.is_enabled() {
+                let allocated = (total * factor / sm_count).min(1.0);
+                self.trace.record_replan(ReplanEvent {
+                    at: self.now,
+                    computing: busy_contexts as u32,
+                    utilization: allocated,
+                });
+            }
+            // Apply the global factor and recompute each compute due time.
+            let now = self.now;
+            for &(id, alloc) in self.ctx_alloc.iter().flatten() {
+                let Some(item) = self.items.get_mut(id) else { continue };
                 let rate = alloc * factor;
-                self.rates.insert(id, rate);
-                let Some(item) = self.items.get_mut(&id) else { continue };
-                item.epoch += 1;
-                let epoch = item.epoch;
-                if rate > 0.0 {
-                    let us = item.work_remaining / rate;
-                    let mut d = SimDuration::from_micros_f64(us);
-                    if d.is_zero() {
-                        d = SimDuration::from_nanos(1);
-                    }
-                    self.push_event(now + d, EventKind::Compute { item: id, epoch });
-                }
+                item.rate = rate;
+                item.due = (rate > 0.0).then(|| {
+                    let d = SimDuration::from_micros_f64(item.work_remaining / rate);
+                    now + d.max(SimDuration::from_nanos(1))
+                });
             }
         }
-        self.clean_calendar();
-    }
-
-    /// Schedules a calendar entry.
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        self.cal_seq += 1;
-        self.calendar.push(Reverse(CalendarEntry { at, seq: self.cal_seq, kind }));
-    }
-
-    /// Whether a calendar entry still refers to a live scheduled event.
-    fn entry_live(&self, entry: &CalendarEntry) -> bool {
-        match entry.kind {
-            EventKind::Copy { epoch } => epoch == self.copy_epoch && self.active_copy.is_some(),
-            EventKind::Launch { item, epoch } => self
-                .items
-                .get(&item)
-                .map(|i| {
-                    i.epoch == epoch
-                        && matches!(i.state, ItemState::Running(KernelPhase::Launching))
-                })
-                .unwrap_or(false),
-            EventKind::Compute { item, epoch } => self
-                .items
-                .get(&item)
-                .map(|i| {
-                    i.epoch == epoch
-                        && matches!(i.state, ItemState::Running(KernelPhase::Computing))
-                })
-                .unwrap_or(false),
-        }
-    }
-
-    /// Restores the "calendar top is live" invariant (lazy invalidation) and
-    /// occasionally compacts the heap so stale entries cannot accumulate
-    /// beyond a small multiple of the live set.
-    fn clean_calendar(&mut self) {
-        while let Some(Reverse(entry)) = self.calendar.peek() {
-            if self.entry_live(entry) {
-                break;
-            }
-            self.calendar.pop();
-        }
-        let live_bound = 8 * (self.running.len() + 2);
-        if self.calendar.len() > 64 && self.calendar.len() > live_bound {
-            let heap = std::mem::take(&mut self.calendar);
-            self.calendar =
-                heap.into_iter().filter(|Reverse(entry)| self.entry_live(entry)).collect();
-        }
+        let items = &self.items;
+        self.next_event = self
+            .running
+            .iter()
+            .filter_map(|id| items.get(*id).and_then(|item| item.due))
+            .chain(self.active_copy.as_ref().map(|c| c.due))
+            .min();
     }
 }
 
-/// Distributes `quota` SMs across kernels, capping each kernel at its own
-/// parallelism and spreading leftover capacity over the kernels that can
-/// still absorb it (classic water-filling).
-fn water_fill(quota: f64, kernels: &[(WorkItemId, u32)]) -> Vec<(WorkItemId, f64)> {
-    let n = kernels.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut alloc = vec![0.0f64; n];
+/// Distributes `quota` SMs across kernels into `alloc` (one entry per kernel,
+/// same order), capping each kernel at its own parallelism and spreading
+/// leftover capacity over the kernels that can still absorb it (classic
+/// water-filling). `unsatisfied` and `next_unsatisfied` are scratch space.
+fn water_fill(
+    quota: f64,
+    kernels: &[(WorkItemId, u32)],
+    alloc: &mut Vec<(WorkItemId, f64)>,
+    unsatisfied: &mut Vec<usize>,
+    next_unsatisfied: &mut Vec<usize>,
+) {
+    alloc.clear();
+    alloc.extend(kernels.iter().map(|&(id, _)| (id, 0.0)));
+    unsatisfied.clear();
+    unsatisfied.extend(0..kernels.len());
     let mut remaining = quota;
-    let mut unsatisfied: Vec<usize> = (0..n).collect();
     while remaining > 1e-9 && !unsatisfied.is_empty() {
         let share = remaining / unsatisfied.len() as f64;
-        let mut next_unsatisfied = Vec::new();
+        next_unsatisfied.clear();
         let mut consumed = 0.0;
-        for &i in &unsatisfied {
+        for &i in unsatisfied.iter() {
             let cap = f64::from(kernels[i].1);
-            let want = cap - alloc[i];
+            let a = &mut alloc[i].1;
+            let want = cap - *a;
             if want <= share + 1e-12 {
-                alloc[i] = cap;
+                *a = cap;
                 consumed += want;
             } else {
-                alloc[i] += share;
+                *a += share;
                 consumed += share;
                 next_unsatisfied.push(i);
             }
@@ -996,17 +953,23 @@ fn water_fill(quota: f64, kernels: &[(WorkItemId, u32)]) -> Vec<(WorkItemId, f64
         if next_unsatisfied.len() == unsatisfied.len() {
             break;
         }
-        unsatisfied = next_unsatisfied;
+        std::mem::swap(unsatisfied, next_unsatisfied);
     }
-    kernels.iter().zip(alloc).map(|((id, _), a)| (*id, a)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelDesc;
 
     fn quiet_spec() -> GpuSpec {
         GpuSpec::rtx_2080_ti().without_interference()
+    }
+
+    fn fill(quota: f64, kernels: &[(WorkItemId, u32)]) -> Vec<(WorkItemId, f64)> {
+        let mut alloc = Vec::new();
+        water_fill(quota, kernels, &mut alloc, &mut Vec::new(), &mut Vec::new());
+        alloc
     }
 
     #[test]
@@ -1272,22 +1235,19 @@ mod tests {
     #[test]
     fn water_fill_respects_caps_and_quota() {
         let ids = [(WorkItemId(0), 10u32), (WorkItemId(1), 60u32), (WorkItemId(2), 60u32)];
-        let alloc = water_fill(68.0, &ids);
+        let alloc = fill(68.0, &ids);
         let total: f64 = alloc.iter().map(|(_, a)| a).sum();
         assert!(total <= 68.0 + 1e-9);
-        let by_id: BTreeMap<_, _> = alloc.into_iter().collect();
-        assert!((by_id[&WorkItemId(0)] - 10.0).abs() < 1e-9);
-        assert!((by_id[&WorkItemId(1)] - 29.0).abs() < 1e-9);
-        assert!((by_id[&WorkItemId(2)] - 29.0).abs() < 1e-9);
+        assert_eq!(alloc.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [0, 1, 2].map(WorkItemId));
+        assert!((alloc[0].1 - 10.0).abs() < 1e-9);
+        assert!((alloc[1].1 - 29.0).abs() < 1e-9);
+        assert!((alloc[2].1 - 29.0).abs() < 1e-9);
     }
 
     #[test]
     fn water_fill_with_spare_capacity_gives_everyone_their_cap() {
         let ids = [(WorkItemId(0), 10u32), (WorkItemId(1), 20u32)];
-        let alloc = water_fill(68.0, &ids);
-        let by_id: BTreeMap<_, _> = alloc.into_iter().collect();
-        assert_eq!(by_id[&WorkItemId(0)], 10.0);
-        assert_eq!(by_id[&WorkItemId(1)], 20.0);
+        assert_eq!(fill(68.0, &ids), [(WorkItemId(0), 10.0), (WorkItemId(1), 20.0)]);
     }
 
     #[test]

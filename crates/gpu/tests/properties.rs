@@ -157,3 +157,94 @@ proptest! {
         }
     }
 }
+
+/// Advances `gpu` to its announced next event and asserts a transition
+/// fired there. The one exception is the nanosecond rounding tail: a compute
+/// due time is rounded to the nearest nanosecond, so when it rounds down the
+/// kernel still holds under half a nanosecond of work and completes exactly
+/// one nanosecond later. Checks that nothing fires a nanosecond early too.
+fn step_to_next_event(gpu: &mut Gpu) {
+    let next = gpu.next_event_time().expect("an event is pending");
+    let before = gpu.events_processed();
+    let just_before = SimTime::from_nanos(next.as_nanos() - 1);
+    if just_before > gpu.now() {
+        gpu.advance_to(just_before);
+        prop_assert_eq!(gpu.events_processed(), before, "a transition fired before {}", next);
+    }
+    gpu.advance_to(next);
+    if gpu.events_processed() == before {
+        let tail = SimTime::from_nanos(next.as_nanos() + 1);
+        prop_assert_eq!(gpu.next_event_time(), Some(tail), "no transition fired at {}", next);
+        gpu.advance_to(tail);
+        prop_assert!(
+            gpu.events_processed() > before,
+            "no transition fired at {} or {}",
+            next,
+            tail
+        );
+    }
+}
+
+/// The invariants `next_event_time` keeps at every public boundary.
+fn check_next_event(gpu: &Gpu) {
+    let next = gpu.next_event_time();
+    prop_assert_eq!(next.is_some(), gpu.pending_items() > 0, "next event {:?}", next);
+    if let Some(t) = next {
+        prop_assert!(t >= gpu.now(), "next event {} before now {}", t, gpu.now());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `next_event_time` is exact over random multi-context submit/advance
+    /// sequences with copies and multi-kernel items (jitter and interference
+    /// on): never before `now`, present exactly while work is pending, and
+    /// advancing to it fires a transition (no phantom events) while stopping
+    /// a nanosecond short fires none (no missed ones).
+    #[test]
+    fn next_event_time_is_exact(seed in 0u64..1_000_000, ops in 8usize..80) {
+        let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti().with_seed(seed));
+        let mut rng = daris_gpu::XorShiftRng::new(seed ^ 0x0e7e_4a11);
+        let mut streams = Vec::new();
+        for quota in [20u32, 34, 68] {
+            let ctx = gpu.add_context(quota).unwrap();
+            streams.push(gpu.add_stream(ctx).unwrap());
+            streams.push(gpu.add_stream(ctx).unwrap());
+        }
+        for tag in 0..ops as u64 {
+            match rng.next_u64() % 4 {
+                0 | 1 => {
+                    let mut item = WorkItem::new(tag);
+                    for _ in 0..1 + rng.next_u64() % 3 {
+                        let parallelism = 1 + (rng.next_u64() % 68) as u32;
+                        item = item.with_kernel(KernelDesc::new(rng.uniform(20.0, 3_000.0), parallelism));
+                    }
+                    if rng.next_u64() % 2 == 0 {
+                        item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
+                    }
+                    if rng.next_u64() % 3 == 0 {
+                        item = item.with_d2h_bytes(1 + rng.next_u64() % 50_000);
+                    }
+                    let stream = streams[(rng.next_u64() % streams.len() as u64) as usize];
+                    gpu.submit(stream, item).unwrap();
+                }
+                2 => {
+                    let step = daris_gpu::SimDuration::from_micros_f64(rng.uniform(0.0, 30.0));
+                    gpu.advance_to(gpu.now() + step);
+                }
+                _ => {
+                    if gpu.next_event_time().is_some() {
+                        step_to_next_event(&mut gpu);
+                    }
+                }
+            }
+            check_next_event(&gpu);
+        }
+        while gpu.next_event_time().is_some() {
+            step_to_next_event(&mut gpu);
+            check_next_event(&gpu);
+        }
+        prop_assert_eq!(gpu.pending_items(), 0);
+    }
+}

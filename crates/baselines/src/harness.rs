@@ -166,7 +166,9 @@ impl Scheduler for BaselineScheduler {
 
     fn advance_to(&mut self, target: SimTime) {
         let completions = self.gpu.advance_to(target);
-        self.now = target;
+        // A past target is a no-op for the GPU; the clock must not rewind.
+        self.now = self.now.max(target);
+        debug_assert_eq!(self.now, self.gpu.now(), "scheduler clock left the GPU clock");
         for completion in completions {
             if let Some((slot, jobs)) = self.in_flight.remove(&completion.tag) {
                 for job in jobs {
@@ -258,5 +260,25 @@ impl Scheduler for BaselineScheduler {
         let summary =
             self.metrics.summarize(horizon).with_gpu_utilization(self.gpu.average_utilization());
         ExperimentOutcome { summary, mret_trace: Vec::new(), config_label: self.label.clone() }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use daris_core::Scheduler;
+    use daris_gpu::SimTime;
+    use daris_models::DnnKind;
+    use daris_workload::TaskSet;
+
+    use crate::FifoMultiStreamServer;
+
+    #[test]
+    fn advance_to_a_past_target_does_not_rewind_the_clock() {
+        let taskset = TaskSet::table2(DnnKind::ResNet18);
+        let mut scheduler = FifoMultiStreamServer::new(2).scheduler(&taskset).unwrap();
+        scheduler.advance_to(SimTime::from_millis(5));
+        scheduler.advance_to(SimTime::from_millis(2));
+        assert_eq!(scheduler.now(), SimTime::from_millis(5));
+        assert_eq!(scheduler.gpu().now(), SimTime::from_millis(5));
     }
 }

@@ -350,10 +350,12 @@ impl DarisScheduler {
 
     /// Advances the simulated GPU to `target` and processes every stage
     /// completion on the way (without dispatching queued stages; call
-    /// [`dispatch_ready`](Self::dispatch_ready) afterwards).
+    /// [`dispatch_ready`](Self::dispatch_ready) afterwards). A target in the
+    /// past is a no-op: the clock never runs backwards.
     pub fn advance_to(&mut self, target: SimTime) {
         let completions = self.gpu.advance_to(target);
-        self.now = target;
+        self.now = self.now.max(target);
+        debug_assert_eq!(self.now, self.gpu.now(), "scheduler clock left the GPU clock");
         if self.sink.is_some() {
             self.forward_gpu_trace();
         }
@@ -999,6 +1001,17 @@ mod tests {
             hp.deadline_miss_rate
         );
         assert!(lp.deadline_miss_rate < 0.30, "LP DMR {}", lp.deadline_miss_rate);
+    }
+
+    #[test]
+    fn advance_to_a_past_target_does_not_rewind_the_clock() {
+        let taskset = TaskSet::table2(DnnKind::UNet);
+        let mut scheduler =
+            DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(6, 6.0))).unwrap();
+        scheduler.advance_to(SimTime::from_millis(5));
+        scheduler.advance_to(SimTime::from_millis(2));
+        assert_eq!(scheduler.now(), SimTime::from_millis(5));
+        assert_eq!(scheduler.gpu().now(), SimTime::from_millis(5));
     }
 
     #[test]

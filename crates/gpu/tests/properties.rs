@@ -83,7 +83,7 @@ proptest! {
 
     /// Advancing in arbitrary random split points yields the *identical*
     /// completion stream (same order, same nanosecond timestamps) as one
-    /// all-at-once advance: the event calendar must be insensitive to how
+    /// all-at-once advance: next-event bookkeeping must be insensitive to how
     /// callers slice time.
     #[test]
     fn random_advance_splits_never_change_completions(seed in 0u64..1_000_000, n_items in 1usize..24) {

@@ -183,14 +183,10 @@ impl ItemSlab {
     }
 }
 
-/// Inserts `id` into an ascending list; returns whether it was absent.
-fn insert_sorted(ids: &mut Vec<WorkItemId>, id: WorkItemId) -> bool {
-    match ids.binary_search(&id) {
-        Ok(_) => false,
-        Err(pos) => {
-            ids.insert(pos, id);
-            true
-        }
+/// Inserts `id` into an ascending list unless it is already there.
+fn insert_sorted(ids: &mut Vec<WorkItemId>, id: WorkItemId) {
+    if let Err(pos) = ids.binary_search(&id) {
+        ids.insert(pos, id);
     }
 }
 

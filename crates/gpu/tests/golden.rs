@@ -232,17 +232,18 @@ fn trace_hash(completions: &[Completion]) -> u64 {
     h
 }
 
-/// The engine's per-item state (`items`, the water-filling `rates`) lives in
-/// `BTreeMap`s precisely so that two runs of the same workload are
-/// byte-identical. Each fresh engine would get fresh (per-process-random)
-/// hasher state if those maps ever regressed to `HashMap` and iteration order
-/// leaked into the results — this repeated-run hash test is the dynamic pin
-/// for daris-lint rule D001 (see crates/lint).
+/// The engine's per-item state (the item slab, the sorted running and
+/// computing lists, the per-item SM rates) lives in id-ordered containers
+/// precisely so that two runs of the same workload are byte-identical. Each
+/// fresh engine would get fresh (per-process-random) hasher state if that
+/// state ever moved into a `HashMap` and iteration order leaked into the
+/// results — this repeated-run hash test is the dynamic pin for daris-lint
+/// rule D001 (see crates/lint).
 #[test]
 fn repeated_runs_hash_identically() {
     let run_once = || {
         // Oversubscribed multi-context burst: maximum pressure on the
-        // water-filling `rates` state and the copy-engine queue.
+        // water-filling rates and the copy-engine queue.
         let mut rng = XorShiftRng::new(0xD1CE_0006);
         let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
         let mut streams = Vec::new();

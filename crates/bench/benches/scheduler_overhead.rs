@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the scheduler's hot-path primitives: the
 //! admission test, the stage priority queue, MRET bookkeeping, virtual
-//! deadline computation, offline context population and raw kernel
-//! submission on the simulated GPU. These quantify the per-decision overhead
-//! DARIS adds on top of the GPU work itself.
+//! deadline computation, offline context population, raw kernel submission
+//! on the simulated GPU and one engine step (transitions plus replan) on a
+//! full 6×6 device. These quantify the per-decision overhead DARIS adds on
+//! top of the GPU work itself.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -96,6 +98,39 @@ fn bench_gpu_submission(c: &mut Criterion) {
     });
 }
 
+/// One `advance_to(next_event_time)` step on an MPS 6×6 RTX 2080 Ti whose
+/// 36 streams each run an 8-kernel item: the per-event cost of the engine's
+/// transition scan and replan. A stream whose item completes gets a fresh
+/// one, so every step sees a full device.
+fn bench_gpu_advance_step(c: &mut Criterion) {
+    let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
+    let mut streams = Vec::new();
+    for _ in 0..6 {
+        let ctx = gpu.add_context(24).expect("context");
+        for _ in 0..6 {
+            streams.push(gpu.add_stream(ctx).expect("stream"));
+        }
+    }
+    let kernels: Arc<[KernelDesc]> =
+        (0..8).map(|i| KernelDesc::new(200.0 + 50.0 * f64::from(i), 8 + 4 * i)).collect();
+    let item = |tag| WorkItem::new(tag).with_shared_kernels(Arc::clone(&kernels));
+    let mut tag = 0u64;
+    for &stream in &streams {
+        gpu.submit(stream, item(tag)).expect("submit");
+        tag += 1;
+    }
+    c.bench_function("gpu_advance_step_mps6x6", |b| {
+        b.iter(|| {
+            let next = gpu.next_event_time().expect("every stream is busy");
+            for done in gpu.advance_to(next) {
+                gpu.submit(done.stream, item(tag)).expect("resubmit");
+                tag += 1;
+            }
+            std::hint::black_box(gpu.now())
+        })
+    });
+}
+
 criterion_group! {
     name = overhead;
     config = Criterion::default().warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2)).sample_size(20);
@@ -105,6 +140,7 @@ criterion_group! {
     bench_mret_update,
     bench_virtual_deadlines,
     bench_offline_population,
-    bench_gpu_submission
+    bench_gpu_submission,
+    bench_gpu_advance_step
 }
 criterion_main!(overhead);

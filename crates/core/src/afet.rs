@@ -10,8 +10,9 @@
 //! the other kinds, and averages the per-stage execution times.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use daris_gpu::{Gpu, SimDuration, WorkItem};
+use daris_gpu::{Gpu, KernelDesc, SimDuration, WorkItem};
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::TaskSet;
 
@@ -43,13 +44,18 @@ impl AfetProfiler {
         profiles: &BTreeMap<DnnKind, ModelProfile>,
     ) -> Result<Self> {
         let kinds = taskset.model_kinds();
+        // Each model's whole-job kernels, lowered once and shared by every
+        // background item of every measurement.
+        let mut models = BTreeMap::new();
+        for &kind in &kinds {
+            let profile = profiles
+                .get(&kind)
+                .ok_or_else(|| CoreError::InvalidConfig(format!("missing profile for {kind}")))?;
+            models.insert(kind, (profile, Arc::from(profile.job_kernels(1))));
+        }
         let mut per_kind = BTreeMap::new();
         for &target in &kinds {
-            let profile = profiles
-                .get(&target)
-                .ok_or_else(|| CoreError::InvalidConfig(format!("missing profile for {target}")))?;
-            let stage_times = measure_full_load(target, profile, &kinds, config, profiles)?;
-            per_kind.insert(target, stage_times);
+            per_kind.insert(target, measure_full_load(target, &kinds, config, &models)?);
         }
         Ok(AfetProfiler { per_kind })
     }
@@ -90,14 +96,15 @@ impl AfetProfiler {
     }
 }
 
-/// Runs the full-load measurement for one target model.
+/// Runs the full-load measurement for one target model. `models` holds the
+/// profile and the shared whole-job kernels of every kind in `all_kinds`.
 fn measure_full_load(
     target: DnnKind,
-    target_profile: &ModelProfile,
     all_kinds: &[DnnKind],
     config: &DarisConfig,
-    profiles: &BTreeMap<DnnKind, ModelProfile>,
+    models: &BTreeMap<DnnKind, (&ModelProfile, Arc<[KernelDesc]>)>,
 ) -> Result<Vec<SimDuration>> {
+    let target_profile = models[&target].0;
     let partition = config.partition;
     let mut gpu = Gpu::new(config.gpu.clone());
     let quota = partition.sm_quota(config.gpu.sm_count);
@@ -122,10 +129,10 @@ fn measure_full_load(
         } else {
             target
         };
-        let profile = profiles.get(&kind).unwrap_or(target_profile);
+        let (profile, kernels) = &models[&kind];
         for _ in 0..(REPETITIONS + 2) {
             let item = WorkItem::new(tag)
-                .with_kernels(profile.job_kernels(1))
+                .with_shared_kernels(Arc::clone(kernels))
                 .with_h2d_bytes(profile.input_bytes(1))
                 .with_d2h_bytes(profile.output_bytes(1));
             gpu.submit(*stream, item)?;
@@ -135,12 +142,14 @@ fn measure_full_load(
 
     // Measure the target's stages back-to-back, REPETITIONS times.
     let stage_count = target_profile.stage_count();
+    let stage_kernels: Vec<Arc<[KernelDesc]>> =
+        (0..stage_count).map(|stage| Arc::from(target_profile.stage_kernels(stage, 1))).collect();
     let mut sums = vec![0.0f64; stage_count];
     for rep in 0..REPETITIONS {
         for (stage, sum) in sums.iter_mut().enumerate() {
             let stage_tag = (rep * stage_count + stage) as u64;
             let mut item =
-                WorkItem::new(stage_tag).with_kernels(target_profile.stage_kernels(stage, 1));
+                WorkItem::new(stage_tag).with_shared_kernels(Arc::clone(&stage_kernels[stage]));
             if stage == 0 {
                 item = item.with_h2d_bytes(target_profile.input_bytes(1));
             }

@@ -8,8 +8,9 @@
 //! GPU, admission/migration decisions, and stage dispatch.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, TraceEventKind, WorkItem};
+use daris_gpu::{Gpu, KernelDesc, SimDuration, SimTime, StreamId, TraceEventKind, WorkItem};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
 use daris_models::{DnnKind, ModelProfile};
 use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
@@ -77,7 +78,14 @@ pub struct DarisScheduler {
     gpu: Gpu,
     /// Streams grouped by context index.
     streams: Vec<Vec<StreamId>>,
-    stream_busy: BTreeMap<StreamId, bool>,
+    /// Whether each stream (indexed by stream id) runs a dispatched stage.
+    stream_busy: Vec<bool>,
+    /// Busy streams per context, so `dispatch` leaves a full context in O(1).
+    busy_streams: Vec<usize>,
+    /// Kernels per `(model, stage, batch)`, lowered on first dispatch and
+    /// shared by every later one. The stage is `None` when staging is off
+    /// and a dispatch carries the whole job.
+    lowered: BTreeMap<(DnnKind, Option<usize>, u32), Arc<[KernelDesc]>>,
     loads: Vec<ContextLoad>,
     queues: Vec<StageQueue>,
     mret: MretEstimator,
@@ -143,7 +151,7 @@ impl DarisScheduler {
             }
             streams.push(ctx_streams);
         }
-        let stream_busy = streams.iter().flatten().map(|s| (*s, false)).collect();
+        let stream_busy = vec![false; gpu.stream_count()];
 
         // Every model stays resident on the device for the whole run.
         for (kind, profile) in &profiles {
@@ -180,6 +188,8 @@ impl DarisScheduler {
             gpu,
             streams,
             stream_busy,
+            busy_streams: vec![0; n_contexts],
+            lowered: BTreeMap::new(),
             loads,
             queues,
             mret,
@@ -222,6 +232,12 @@ impl DarisScheduler {
     /// [`Gpu::events_processed`](daris_gpu::Gpu::events_processed)).
     pub fn events_processed(&self) -> u64 {
         self.gpu.events_processed()
+    }
+
+    /// Replan passes the simulated GPU has run so far (see
+    /// [`Gpu::replans`](daris_gpu::Gpu::replans)).
+    pub fn replans(&self) -> u64 {
+        self.gpu.replans()
     }
 
     /// The current offline/online context assignment, indexed by task.
@@ -350,8 +366,10 @@ impl DarisScheduler {
 
     /// Advances the simulated GPU to `target` and processes every stage
     /// completion on the way (without dispatching queued stages; call
-    /// [`dispatch_ready`](Self::dispatch_ready) afterwards). A target in the
-    /// past is a no-op: the clock never runs backwards.
+    /// [`dispatch_ready`](Self::dispatch_ready) afterwards). The clock never
+    /// runs backwards: a target at or before `now` leaves it where it is,
+    /// though GPU transitions already due at `now` still fire (see
+    /// [`Gpu::advance_to`](daris_gpu::Gpu::advance_to)).
     pub fn advance_to(&mut self, target: SimTime) {
         let completions = self.gpu.advance_to(target);
         self.now = self.now.max(target);
@@ -365,6 +383,7 @@ impl DarisScheduler {
                 completion.finished_at,
                 completion.execution_time(),
                 completion.stream,
+                completion.context.index(),
             );
         }
     }
@@ -588,7 +607,7 @@ impl DarisScheduler {
 
     /// Number of currently idle streams across contexts.
     pub fn idle_stream_count(&self) -> usize {
-        self.stream_busy.values().filter(|busy| !**busy).count()
+        self.stream_busy.len() - self.busy_streams.iter().sum::<usize>()
     }
 
     /// Fraction of stream capacity charged by currently active jobs, the
@@ -740,9 +759,10 @@ impl DarisScheduler {
         finished_at: SimTime,
         execution: SimDuration,
         stream: StreamId,
+        context: usize,
     ) {
         let Some((job_id, stage)) = self.tag_map.remove(&tag) else { return };
-        self.stream_busy.insert(stream, false);
+        self.set_stream_busy(stream, context, false);
         let task = job_id.task;
         if self.config.record_mret_trace {
             let predicted = self.mret.stage_mret(task, stage);
@@ -796,13 +816,10 @@ impl DarisScheduler {
     /// Dispatches ready stages onto idle streams, most urgent first.
     fn dispatch(&mut self) {
         for ctx in 0..self.queues.len() {
-            loop {
-                if self.queues[ctx].is_empty() {
-                    break;
-                }
+            while self.busy_streams[ctx] < self.streams[ctx].len() && !self.queues[ctx].is_empty() {
                 let Some(stream) = self.idle_stream(ctx) else { break };
                 let Some(ready) = self.queues[ctx].pop() else { break };
-                if let Err(_e) = self.submit_stage(stream, &ready) {
+                if let Err(_e) = self.submit_stage(stream, ctx, &ready) {
                     // Submission can only fail on internal inconsistencies;
                     // drop the stage rather than wedging the whole run.
                     debug_assert!(false, "stage submission failed");
@@ -812,38 +829,63 @@ impl DarisScheduler {
     }
 
     fn idle_stream(&self, ctx: usize) -> Option<StreamId> {
-        self.streams[ctx]
-            .iter()
-            .copied()
-            .find(|s| !self.stream_busy.get(s).copied().unwrap_or(false))
+        self.streams[ctx].iter().copied().find(|s| !self.stream_busy[s.index()])
     }
 
-    fn submit_stage(&mut self, stream: StreamId, ready: &ReadyStage) -> Result<()> {
+    /// Marks `stream`, a stream of context `ctx`, busy or idle.
+    fn set_stream_busy(&mut self, stream: StreamId, ctx: usize, busy: bool) {
+        let slot = &mut self.stream_busy[stream.index()];
+        if *slot != busy {
+            *slot = busy;
+            if busy {
+                self.busy_streams[ctx] += 1;
+            } else {
+                self.busy_streams[ctx] -= 1;
+            }
+        }
+    }
+
+    /// The kernels one dispatch of `model` runs: stage `stage` when staging
+    /// is on, the whole job otherwise. Each list is lowered once, then shared.
+    fn dispatch_kernels(
+        &mut self,
+        model: DnnKind,
+        stage: usize,
+        batch: u32,
+    ) -> Result<Arc<[KernelDesc]>> {
+        let key = (model, self.config.ablation.staging.then_some(stage), batch);
+        if let Some(kernels) = self.lowered.get(&key) {
+            return Ok(Arc::clone(kernels));
+        }
+        let profile = self
+            .profiles
+            .get(&model)
+            .ok_or_else(|| CoreError::InvalidConfig(format!("missing profile for {model}")))?;
+        let kernels: Arc<[KernelDesc]> = match key.1 {
+            Some(stage) => profile.stage_kernels(stage, batch),
+            None => profile.job_kernels(batch),
+        }
+        .into();
+        self.lowered.insert(key, Arc::clone(&kernels));
+        Ok(kernels)
+    }
+
+    fn submit_stage(&mut self, stream: StreamId, ctx: usize, ready: &ReadyStage) -> Result<()> {
         let Some(active) = self.active.get(&ready.job) else { return Ok(()) };
-        let job = active.job;
-        let (stage_count, dispatch_context) = (active.stage_count, active.context);
-        let profile = self.profiles.get(&job.model).ok_or_else(|| {
-            CoreError::InvalidConfig(format!("missing profile for {}", job.model))
-        })?;
-        let staging = self.config.ablation.staging;
-        let kernels = if staging {
-            profile.stage_kernels(ready.stage, job.batch_size)
-        } else {
-            profile.job_kernels(job.batch_size)
-        };
-        let is_first = ready.stage == 0;
-        let is_last = ready.stage + 1 == active.stage_count;
+        let (job, stage_count, dispatch_context) = (active.job, active.stage_count, active.context);
+        let kernels = self.dispatch_kernels(job.model, ready.stage, job.batch_size)?;
+        let profile = &self.profiles[&job.model];
         let tag = self.next_tag;
         self.next_tag += 1;
-        let mut item = WorkItem::new(tag).with_kernels(kernels);
-        if is_first {
+        let mut item = WorkItem::new(tag).with_shared_kernels(kernels);
+        if ready.stage == 0 {
             item = item.with_h2d_bytes(profile.input_bytes(job.batch_size));
         }
-        if is_last {
+        if ready.stage + 1 == stage_count {
             item = item.with_d2h_bytes(profile.output_bytes(job.batch_size));
         }
         self.gpu.submit(stream, item)?;
-        self.stream_busy.insert(stream, true);
+        self.set_stream_busy(stream, ctx, true);
         self.tag_map.insert(tag, (ready.job, ready.stage));
         self.emit(|| EventKind::StageDispatched {
             task: ready.job.task,
@@ -1113,12 +1155,26 @@ mod tests {
         let expected = reference.run_until(horizon);
 
         let mut driven = DarisScheduler::new(&taskset, config).unwrap();
-        let plan = ArrivalPlan::generate(&taskset, horizon, ReleaseJitter::None);
+        step_until(&mut driven, &taskset, horizon, |_| {});
+        let actual = driven.finish(horizon);
+        assert_eq!(actual.summary, expected.summary);
+    }
+
+    /// Drives `scheduler` through the periodic releases of `taskset` up to
+    /// `horizon` with the public stepping API, the call sequence `run_until`
+    /// makes, and calls `after_dispatch` after every `dispatch_ready`.
+    fn step_until(
+        scheduler: &mut DarisScheduler,
+        taskset: &TaskSet,
+        horizon: SimTime,
+        mut after_dispatch: impl FnMut(&DarisScheduler),
+    ) {
+        let plan = ArrivalPlan::generate(taskset, horizon, ReleaseJitter::None);
         let arrivals: Vec<Job> = plan.into_iter().collect();
         let mut next = 0usize;
         loop {
             let next_release = arrivals.get(next).map(|j| j.release);
-            let step_to = match (next_release, driven.next_event_time()) {
+            let step_to = match (next_release, scheduler.next_event_time()) {
                 (Some(r), Some(g)) => r.min(g),
                 (Some(r), None) => r,
                 (None, Some(g)) => g,
@@ -1127,18 +1183,62 @@ mod tests {
             if step_to > horizon {
                 break;
             }
-            driven.advance_to(step_to);
-            while next < arrivals.len() && arrivals[next].release <= driven.now() {
+            scheduler.advance_to(step_to);
+            while next < arrivals.len() && arrivals[next].release <= scheduler.now() {
                 let job = arrivals[next];
                 next += 1;
-                if !driven.try_release_job(job) {
-                    driven.reject_job(&job);
+                if !scheduler.try_release_job(job) {
+                    scheduler.reject_job(&job);
                 }
             }
-            driven.dispatch_ready();
+            scheduler.dispatch_ready();
+            after_dispatch(scheduler);
         }
-        let actual = driven.finish(horizon);
-        assert_eq!(actual.summary, expected.summary);
+    }
+
+    #[test]
+    fn lowered_kernels_are_cached_and_shared() {
+        let taskset = TaskSet::mixed();
+        for ablation in [crate::AblationFlags::full(), crate::AblationFlags::no_staging()] {
+            let config = DarisConfig::new(GpuPartition::mps(6, 2.0)).with_ablation(ablation);
+            let staging = config.ablation.staging;
+            let mut scheduler = DarisScheduler::new(&taskset, config).unwrap();
+            for model in taskset.model_kinds() {
+                let profile = scheduler.profiles[&model].clone();
+                let stages = if staging { profile.stage_count() } else { 1 };
+                for stage in 0..stages {
+                    for batch in [1, 4] {
+                        let lowered = scheduler.dispatch_kernels(model, stage, batch).unwrap();
+                        let fresh = if staging {
+                            profile.stage_kernels(stage, batch)
+                        } else {
+                            profile.job_kernels(batch)
+                        };
+                        assert_eq!(&lowered[..], &fresh[..], "{model} stage {stage} batch {batch}");
+                        let again = scheduler.dispatch_kernels(model, stage, batch).unwrap();
+                        assert!(Arc::ptr_eq(&lowered, &again), "{model} stage {stage} re-lowered");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn idle_stream_count_matches_the_gpu_streams() {
+        // Few streams for the mixed set's load, so steps fill every one.
+        let taskset = TaskSet::mixed();
+        let config = DarisConfig::new(GpuPartition::mps_str(3, 2, 2.0));
+        let mut scheduler = DarisScheduler::new(&taskset, config).unwrap();
+        let (mut saw_full, mut saw_busy) = (false, false);
+        step_until(&mut scheduler, &taskset, SimTime::from_millis(60), |s| {
+            let gpu = s.gpu();
+            let idle = gpu.stream_ids().filter(|&id| gpu.stream_is_idle(id).unwrap()).count();
+            assert_eq!(s.idle_stream_count(), idle, "at {}", s.now());
+            saw_full |= idle == 0;
+            saw_busy |= idle < gpu.stream_count();
+        });
+        assert!(saw_busy, "no stream was ever busy");
+        assert!(saw_full, "no step filled every stream");
     }
 
     #[test]

@@ -33,6 +33,15 @@
 //! so float sums and RNG draws always happen in the same order (pinned by
 //! the golden-trace tests).
 //!
+//! [`Gpu::advance_to`] ends with its last step, which already ran at the
+//! target and left nothing due there, so it runs no trailing transition
+//! pass: that pass would fire nothing and replan every rate and due time to
+//! the values they already hold. Only a call that does not move the clock
+//! runs a pass at `now`, because a submission since the last step may have
+//! left a transition due there (a zero-length copy, for instance). While
+//! tracing, the skipped pass's replan record is repeated, so the recorded
+//! replan stream is the same as if the pass had run.
+//!
 //! Bookkeeping touches only what is in flight. Items live in a slab indexed
 //! by id; ids are handed out monotonically, so the slab spans only the live
 //! id range. A sorted `running` list (at most one item per stream) bounds
@@ -40,7 +49,8 @@
 //! *computing* lists with dirty flags let `replan` reuse cached
 //! water-filling for contexts whose membership did not change. The scratch
 //! buffers of the transition scan and the water-fill are reused, so an
-//! event allocates nothing.
+//! event allocates nothing. Kernel lists are shared ([`WorkItem`] holds an
+//! `Arc`), so a submission copies no kernel descriptions.
 
 use std::collections::VecDeque;
 
@@ -257,6 +267,7 @@ pub struct Gpu {
     busy_sm_integral_us: f64,
     pending_count: usize,
     events_processed: u64,
+    replans: u64,
 }
 
 impl Gpu {
@@ -286,6 +297,7 @@ impl Gpu {
             busy_sm_integral_us: 0.0,
             pending_count: 0,
             events_processed: 0,
+            replans: 0,
         }
     }
 
@@ -521,6 +533,13 @@ impl Gpu {
         self.events_processed
     }
 
+    /// Number of replan passes run so far: one per submission and one per
+    /// step of [`Gpu::advance_to`]. A deterministic measure of the engine's
+    /// work that, unlike wall-clock time, a test can pin exactly.
+    pub fn replans(&self) -> u64 {
+        self.replans
+    }
+
     /// Average device utilization (busy SM-time divided by `sm_count ×
     /// elapsed time`) since simulation start. Returns 0 before any time has
     /// elapsed.
@@ -560,10 +579,15 @@ impl Gpu {
     /// transition on the way, and returns the work items that completed (in
     /// completion order).
     ///
-    /// If `target` is in the past, the call is a no-op returning an empty
-    /// vector.
+    /// If `target` is not after [`Gpu::now`], the clock stays where it is,
+    /// but transitions already due at `now` still fire: a submission since
+    /// the last step may have started a zero-length copy, for instance.
     pub fn advance_to(&mut self, target: SimTime) -> Vec<Completion> {
         let mut completions = Vec::new();
+        if self.now >= target {
+            self.apply_transitions(&mut completions);
+            return completions;
+        }
         while self.now < target {
             let step_to = match self.next_event {
                 Some(t) if t <= target => t,
@@ -574,8 +598,10 @@ impl Gpu {
             self.now = step_to;
             self.apply_transitions(&mut completions);
         }
-        // Transitions may also fall exactly on `target` when now == target.
-        self.apply_transitions(&mut completions);
+        // The last step ran at `target` and left nothing due there. Another
+        // pass would fire nothing and replan to the same values, so only
+        // its replan record is repeated.
+        self.trace.repeat_last_replan();
         completions
     }
 
@@ -841,6 +867,7 @@ impl Gpu {
     /// The cross-context contention scale still applies globally, but that is
     /// a single multiply per computing item.
     fn replan(&mut self) {
+        self.replans += 1;
         // Refresh the water-fill cache of dirty contexts.
         for ctx in 0..self.contexts.len() {
             if !self.ctx_dirty[ctx] {

@@ -1,6 +1,7 @@
 //! Kernel and work-item descriptions.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{GpuError, SimDuration};
 
@@ -112,12 +113,16 @@ impl KernelDesc {
 /// DNN inference job (or a whole job when staging is disabled, or a batched
 /// stage when batching is enabled). The caller learns about completion through
 /// [`crate::Completion`] events carrying the same tag.
+///
+/// The kernel list is shared: a scheduler that dispatches the same lowered
+/// stage many times hands every item a clone of one
+/// [`Arc`] (see [`WorkItem::with_shared_kernels`]) instead of a fresh copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
     /// Caller-chosen identifier reported back on completion.
     pub tag: u64,
     /// Kernels executed sequentially within the owning stream.
-    pub kernels: Vec<KernelDesc>,
+    pub kernels: Arc<[KernelDesc]>,
     /// Bytes copied host-to-device before the first kernel starts.
     pub h2d_bytes: u64,
     /// Bytes copied device-to-host after the last kernel finishes.
@@ -128,18 +133,23 @@ impl WorkItem {
     /// Creates an empty work item with the given tag; add kernels with
     /// [`WorkItem::with_kernel`] or [`WorkItem::with_kernels`].
     pub fn new(tag: u64) -> Self {
-        WorkItem { tag, kernels: Vec::new(), h2d_bytes: 0, d2h_bytes: 0 }
+        WorkItem { tag, kernels: Arc::new([]), h2d_bytes: 0, d2h_bytes: 0 }
     }
 
     /// Appends one kernel.
-    pub fn with_kernel(mut self, kernel: KernelDesc) -> Self {
-        self.kernels.push(kernel);
-        self
+    pub fn with_kernel(self, kernel: KernelDesc) -> Self {
+        self.with_kernels([kernel])
     }
 
     /// Appends several kernels.
     pub fn with_kernels<I: IntoIterator<Item = KernelDesc>>(mut self, kernels: I) -> Self {
-        self.kernels.extend(kernels);
+        self.kernels = self.kernels.iter().cloned().chain(kernels).collect();
+        self
+    }
+
+    /// Replaces the kernel list with a shared one, without copying it.
+    pub fn with_shared_kernels(mut self, kernels: Arc<[KernelDesc]>) -> Self {
+        self.kernels = kernels;
         self
     }
 
@@ -175,7 +185,7 @@ impl WorkItem {
         if self.kernels.is_empty() {
             return Err(GpuError::EmptyWorkItem);
         }
-        for k in &self.kernels {
+        for k in self.kernels.iter() {
             k.validate()?;
         }
         Ok(())
@@ -221,6 +231,15 @@ mod tests {
         assert_eq!(item.h2d_bytes, 1024);
         assert_eq!(item.d2h_bytes, 64);
         assert!(item.validate().is_ok());
+    }
+
+    #[test]
+    fn shared_kernels_are_not_copied() {
+        let kernels: Arc<[KernelDesc]> = vec![KernelDesc::new(10.0, 4)].into();
+        let a = WorkItem::new(1).with_shared_kernels(Arc::clone(&kernels));
+        let b = WorkItem::new(2).with_shared_kernels(Arc::clone(&kernels));
+        assert!(Arc::ptr_eq(&a.kernels, &b.kernels));
+        assert_eq!(a.kernel_count(), 1);
     }
 
     #[test]

@@ -104,6 +104,13 @@ impl Trace {
         }
     }
 
+    /// Records the last recorded replan again, if tracing is enabled.
+    pub(crate) fn repeat_last_replan(&mut self) {
+        if let Some(&last) = self.replans.last().filter(|_| self.enabled) {
+            self.replans.push(last);
+        }
+    }
+
     /// All recorded events in chronological order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

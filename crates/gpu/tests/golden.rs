@@ -81,11 +81,14 @@ fn check_or_regen(name: &str, completions: &[Completion]) {
 /// streams pin *when* items finish; these pin how many transitions fired on
 /// the way and the exact floating-point work and utilization integrals, so a
 /// change to the per-event bookkeeping that happens to preserve completion
-/// timestamps still cannot drift unnoticed. Recorded alongside the traces;
-/// never regenerated by `DARIS_REGEN_GOLDEN`.
+/// timestamps still cannot drift unnoticed. `replans` pins how much work
+/// the engine did to get there: it falls only when a change removes replan
+/// passes on purpose. Recorded alongside the traces; never regenerated by
+/// `DARIS_REGEN_GOLDEN`.
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     events: u64,
+    replans: u64,
     completed_work_bits: u64,
     utilization_bits: u64,
 }
@@ -93,6 +96,7 @@ struct Counters {
 fn check_counters(gpu: &Gpu, expected: Counters) {
     let actual = Counters {
         events: gpu.events_processed(),
+        replans: gpu.replans(),
         completed_work_bits: gpu.completed_work().to_bits(),
         utilization_bits: gpu.average_utilization().to_bits(),
     };
@@ -142,6 +146,7 @@ fn golden_burst_multi_context() {
         &gpu,
         Counters {
             events: 231,
+            replans: 326,
             completed_work_bits: 0x4108cf9e9b621c40,
             utilization_bits: 0x3fe9f68e6c275c99,
         },
@@ -181,6 +186,7 @@ fn golden_staggered_arrivals() {
         &gpu,
         Counters {
             events: 324,
+            replans: 487,
             completed_work_bits: 0x411116b8dbd91cfc,
             utilization_bits: 0x3fe32bfdd4f4f2f7,
         },
@@ -215,6 +221,7 @@ fn golden_oversubscribed_small_steps() {
         &gpu,
         Counters {
             events: 210,
+            replans: 510,
             completed_work_bits: 0x4104b1db0e3dbc74,
             utilization_bits: 0x3fe15734530706f7,
         },

@@ -1,6 +1,9 @@
 //! Property-based tests of the GPU simulator's core invariants.
 
-use daris_gpu::{ceil_even, sm_quota, Gpu, GpuSpec, KernelDesc, SimTime, WorkItem};
+use daris_gpu::{
+    ceil_even, sm_quota, Gpu, GpuSpec, KernelDesc, SimDuration, SimTime, StreamId, WorkItem,
+    XorShiftRng,
+};
 use proptest::prelude::*;
 
 fn quiet() -> GpuSpec {
@@ -189,6 +192,81 @@ fn check_next_event(gpu: &Gpu) {
     }
 }
 
+/// One step of a random submit/advance sequence.
+enum Op {
+    /// Submit a multi-kernel item, some with copies.
+    Submit(StreamId, WorkItem),
+    /// Advance by a random step (possibly zero).
+    Advance(SimDuration),
+    /// Step to the announced next event.
+    NextEvent,
+}
+
+/// A three-context device with two streams per context, jitter and
+/// interference on.
+fn op_device(seed: u64) -> (Gpu, Vec<StreamId>) {
+    let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti().with_seed(seed));
+    let mut streams = Vec::new();
+    for quota in [20u32, 34, 68] {
+        let ctx = gpu.add_context(quota).unwrap();
+        streams.push(gpu.add_stream(ctx).unwrap());
+        streams.push(gpu.add_stream(ctx).unwrap());
+    }
+    (gpu, streams)
+}
+
+/// Draws the next op of a random sequence over `streams`.
+fn random_op(rng: &mut XorShiftRng, tag: u64, streams: &[StreamId]) -> Op {
+    match rng.next_u64() % 4 {
+        0 | 1 => {
+            let mut item = WorkItem::new(tag);
+            for _ in 0..1 + rng.next_u64() % 3 {
+                let parallelism = 1 + (rng.next_u64() % 68) as u32;
+                item = item.with_kernel(KernelDesc::new(rng.uniform(20.0, 3_000.0), parallelism));
+            }
+            if rng.next_u64() % 2 == 0 {
+                item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
+            }
+            if rng.next_u64() % 3 == 0 {
+                item = item.with_d2h_bytes(1 + rng.next_u64() % 50_000);
+            }
+            let stream = streams[(rng.next_u64() % streams.len() as u64) as usize];
+            Op::Submit(stream, item)
+        }
+        2 => Op::Advance(SimDuration::from_micros_f64(rng.uniform(0.0, 30.0))),
+        _ => Op::NextEvent,
+    }
+}
+
+/// Advances `gpu` to `target`, and when that moved the clock, advances to
+/// `target` again and asserts the second call changed nothing: the first
+/// call's last step left nothing due at `target`, which is why `advance_to`
+/// runs no trailing pass there. While tracing, the second call's replan must
+/// equal the one the first call repeated in place of that pass.
+fn advance_twice(gpu: &mut Gpu, target: SimTime) {
+    let moves = target > gpu.now();
+    gpu.advance_to(target);
+    if !moves {
+        return;
+    }
+    let next = gpu.next_event_time();
+    let events = gpu.events_processed();
+    let work = gpu.completed_work().to_bits();
+    let sample = gpu.utilization_sample();
+    let replans = gpu.trace().replans();
+    let (recorded, replayed) = (replans.len(), replans.last().copied());
+    assert!(gpu.advance_to(target).is_empty(), "a second advance to {target} completed items");
+    assert_eq!(gpu.next_event_time(), next);
+    assert_eq!(gpu.events_processed(), events);
+    assert_eq!(gpu.completed_work().to_bits(), work);
+    assert_eq!(gpu.utilization_sample(), sample);
+    if gpu.trace().is_enabled() {
+        let replans = gpu.trace().replans();
+        assert_eq!(replans.len(), recorded + 1, "the second advance recorded no replan");
+        assert_eq!(replans.last().copied(), replayed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -199,36 +277,17 @@ proptest! {
     /// a nanosecond short fires none (no missed ones).
     #[test]
     fn next_event_time_is_exact(seed in 0u64..1_000_000, ops in 8usize..80) {
-        let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti().with_seed(seed));
-        let mut rng = daris_gpu::XorShiftRng::new(seed ^ 0x0e7e_4a11);
-        let mut streams = Vec::new();
-        for quota in [20u32, 34, 68] {
-            let ctx = gpu.add_context(quota).unwrap();
-            streams.push(gpu.add_stream(ctx).unwrap());
-            streams.push(gpu.add_stream(ctx).unwrap());
-        }
+        let (mut gpu, streams) = op_device(seed);
+        let mut rng = XorShiftRng::new(seed ^ 0x0e7e_4a11);
         for tag in 0..ops as u64 {
-            match rng.next_u64() % 4 {
-                0 | 1 => {
-                    let mut item = WorkItem::new(tag);
-                    for _ in 0..1 + rng.next_u64() % 3 {
-                        let parallelism = 1 + (rng.next_u64() % 68) as u32;
-                        item = item.with_kernel(KernelDesc::new(rng.uniform(20.0, 3_000.0), parallelism));
-                    }
-                    if rng.next_u64() % 2 == 0 {
-                        item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
-                    }
-                    if rng.next_u64() % 3 == 0 {
-                        item = item.with_d2h_bytes(1 + rng.next_u64() % 50_000);
-                    }
-                    let stream = streams[(rng.next_u64() % streams.len() as u64) as usize];
+            match random_op(&mut rng, tag, &streams) {
+                Op::Submit(stream, item) => {
                     gpu.submit(stream, item).unwrap();
                 }
-                2 => {
-                    let step = daris_gpu::SimDuration::from_micros_f64(rng.uniform(0.0, 30.0));
+                Op::Advance(step) => {
                     gpu.advance_to(gpu.now() + step);
                 }
-                _ => {
+                Op::NextEvent => {
                     if gpu.next_event_time().is_some() {
                         step_to_next_event(&mut gpu);
                     }
@@ -239,6 +298,38 @@ proptest! {
         while gpu.next_event_time().is_some() {
             step_to_next_event(&mut gpu);
             check_next_event(&gpu);
+        }
+        prop_assert_eq!(gpu.pending_items(), 0);
+    }
+
+    /// Over the same random sequences, with tracing on for half the seeds,
+    /// advancing a second time to where `advance_to` just moved the clock
+    /// is a no-op (see `advance_twice`).
+    #[test]
+    fn repeated_advance_to_the_same_target_changes_nothing(seed in 0u64..1_000_000, ops in 8usize..80) {
+        let (mut gpu, streams) = op_device(seed);
+        if seed % 2 == 0 {
+            gpu.enable_tracing();
+        }
+        let mut rng = XorShiftRng::new(seed ^ 0x0e7e_4a11);
+        for tag in 0..ops as u64 {
+            match random_op(&mut rng, tag, &streams) {
+                Op::Submit(stream, item) => {
+                    gpu.submit(stream, item).unwrap();
+                }
+                Op::Advance(step) => {
+                    let target = gpu.now() + step;
+                    advance_twice(&mut gpu, target);
+                }
+                Op::NextEvent => {
+                    if let Some(t) = gpu.next_event_time() {
+                        advance_twice(&mut gpu, t);
+                    }
+                }
+            }
+        }
+        while let Some(t) = gpu.next_event_time() {
+            advance_twice(&mut gpu, t);
         }
         prop_assert_eq!(gpu.pending_items(), 0);
     }

@@ -1201,6 +1201,22 @@ mod tests {
     }
 
     #[test]
+    fn advance_to_now_fires_a_zero_length_copy() {
+        // No copy latency and a sub-nanosecond transfer: the copy submitted
+        // at t = 0 is due at t = 0, so an advance that does not move the
+        // clock must still complete it and start the kernel.
+        let mut gpu = Gpu::new(GpuSpec { copy_latency: SimDuration::ZERO, ..quiet_spec() });
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        let item = WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68)).with_h2d_bytes(1);
+        gpu.submit(s, item).unwrap();
+        assert_eq!(gpu.next_event_time(), Some(SimTime::ZERO));
+        assert!(gpu.advance_to(SimTime::ZERO).is_empty());
+        assert_eq!(gpu.events_processed(), 1);
+        assert!(gpu.next_event_time() > Some(SimTime::ZERO));
+    }
+
+    #[test]
     fn utilization_accounting() {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();

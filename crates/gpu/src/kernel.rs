@@ -234,15 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_kernels_are_not_copied() {
-        let kernels: Arc<[KernelDesc]> = vec![KernelDesc::new(10.0, 4)].into();
-        let a = WorkItem::new(1).with_shared_kernels(Arc::clone(&kernels));
-        let b = WorkItem::new(2).with_shared_kernels(Arc::clone(&kernels));
-        assert!(Arc::ptr_eq(&a.kernels, &b.kernels));
-        assert_eq!(a.kernel_count(), 1);
-    }
-
-    #[test]
     fn empty_work_item_is_rejected() {
         assert_eq!(WorkItem::new(1).validate(), Err(GpuError::EmptyWorkItem));
     }

@@ -658,10 +658,15 @@ impl DarisScheduler {
     /// Drains the GPU's execution trace into the sink, translating device
     /// events into telemetry events. Item submissions are skipped (the
     /// scheduler's own `StageDispatched` already covers them with richer
-    /// context); everything else maps one-to-one.
+    /// context); everything else maps one-to-one. Engine events, then
+    /// replans, reach the sink as one batch: one lock and no per-event
+    /// clone, in the same order as recording them one by one.
     fn forward_gpu_trace(&mut self) {
-        let Some(sink) = self.sink.clone() else { return };
-        for ev in self.gpu.trace_mut().take_events() {
+        let Some(sink) = &self.sink else { return };
+        let trace = self.gpu.trace_mut();
+        let (events, replans) = (trace.take_events(), trace.take_replans());
+        let mut batch = Vec::with_capacity(events.len() + replans.len());
+        for ev in events {
             let (tag, stream, context) =
                 (ev.tag, ev.stream.index() as u32, ev.context.index() as u32);
             let kind = match ev.kind {
@@ -676,18 +681,17 @@ impl DarisScheduler {
                 }
                 TraceEventKind::ItemCompleted => EventKind::ItemFinished { tag, stream, context },
             };
-            sink.record(TelemetryEvent { at: ev.at, device: 0, kind });
+            batch.push(TelemetryEvent { at: ev.at, device: 0, kind });
         }
-        for replan in self.gpu.trace_mut().take_replans() {
-            sink.record(TelemetryEvent {
-                at: replan.at,
-                device: 0,
-                kind: EventKind::Replan {
-                    computing: replan.computing,
-                    utilization: replan.utilization,
-                },
-            });
-        }
+        batch.extend(replans.into_iter().map(|replan| TelemetryEvent {
+            at: replan.at,
+            device: 0,
+            kind: EventKind::Replan {
+                computing: replan.computing,
+                utilization: replan.utilization,
+            },
+        }));
+        sink.record_batch(&mut batch);
     }
 
     // ----- event handlers ---------------------------------------------------

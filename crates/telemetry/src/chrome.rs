@@ -18,7 +18,12 @@
 //! builds no `String` per event: names and args are passed as
 //! `fmt::Arguments`, names go through an escaping `fmt::Write` adapter, and
 //! timestamps, durations, pids and tids are written by an integer-digit
-//! writer. Process and thread names are known only after the pass over the
+//! writer. The `sm-utilization` counter lines, three in four lines of a
+//! recorded fleet run, bypass `core::fmt` entirely: their utilization goes
+//! through an exact fixed-point writer that reproduces `{:.4}` byte for byte
+//! from the float's bits with integer arithmetic. Every other float field,
+//! and a utilization outside that writer's range, keeps `core::fmt`.
+//! Process and thread names are known only after the pass over the
 //! events, so that small metadata block is inserted at the header offset
 //! last. Peak memory is therefore the one output buffer. NaN and infinite
 //! float fields, which JSON cannot represent, are written as `null`.
@@ -99,6 +104,12 @@ impl TelemetrySink for ChromeTraceSink {
     }
 }
 
+/// Raw bits of `2³²`, the exclusive upper bound of
+/// [`Digits::four_decimals`]. Compared as unsigned integers, the bits of
+/// every negative value, `-0.0`, the infinities and NaN are larger, so one
+/// compare also keeps those on the `core::fmt` path.
+const FOUR_DECIMALS_LIMIT: u64 = (1023 + 32) << 52;
+
 /// An unsigned integer rendered in decimal on the stack.
 struct Digits {
     buf: [u8; 24],
@@ -127,15 +138,54 @@ impl Digits {
         d
     }
 
+    /// `v / 10^decimals` with exactly `decimals` decimals, from integers
+    /// only: `fixed(1_234, 3)` is `1.234`.
+    fn fixed(v: u64, decimals: u32) -> Self {
+        let scale = 10u64.pow(decimals);
+        let mut d = Digits { buf: [0; 24], start: 24 };
+        d.prepend(v % scale, decimals as usize);
+        d.start -= 1;
+        d.buf[d.start] = b'.';
+        d.prepend(v / scale, 1);
+        d
+    }
+
     /// Integer nanoseconds as microseconds with three decimals (`X.YYY`),
     /// so no float rounding is involved.
     fn micros(nanos: u64) -> Self {
-        let mut d = Digits { buf: [0; 24], start: 24 };
-        d.prepend(nanos % 1_000, 3);
-        d.start -= 1;
-        d.buf[d.start] = b'.';
-        d.prepend(nanos / 1_000, 1);
-        d
+        Digits::fixed(nanos, 3)
+    }
+
+    /// `v` with four decimals, byte-equal to `format!("{v:.4}")`, for
+    /// `+0.0 <= v < 2³²`; `None` for every other value. Exact: `v·10⁴` is
+    /// computed from the mantissa and exponent in `u128` integer arithmetic
+    /// and rounded half to even, which is how `core::fmt` rounds exact
+    /// binary ties (`1/32` is `0.0312`, `3/32` is `0.0938`).
+    fn four_decimals(v: f64) -> Option<Self> {
+        let bits = v.to_bits();
+        if bits >= FOUR_DECIMALS_LIMIT {
+            return None;
+        }
+        // The sign bit is clear, so the top bits are the biased exponent.
+        let biased = (bits >> 52) as u32;
+        let fraction = bits & ((1 << 52) - 1);
+        // v = mantissa · 2^-shift; subnormals have no implicit leading bit.
+        // Below 2³² the shift is at least 1075 - (1023 + 31) = 21.
+        let (mantissa, shift) =
+            if biased == 0 { (fraction, 1074) } else { (fraction | 1 << 52, 1075 - biased) };
+        let scaled = u128::from(mantissa) * 10_000;
+        let rounded = if shift >= 128 {
+            // scaled < 2⁶⁷ is less than half of 2^shift: rounds to zero.
+            0
+        } else {
+            let quotient = scaled >> shift;
+            let remainder = scaled & ((1 << shift) - 1);
+            let half = 1 << (shift - 1);
+            let round_up = remainder > half || (remainder == half && quotient & 1 == 1);
+            quotient + u128::from(round_up)
+        };
+        // rounded <= 2³² · 10⁴ < 2⁴⁶, so the cast is lossless.
+        Some(Digits::fixed(rounded as u64, 4))
     }
 
     fn as_str(&self) -> &str {
@@ -270,16 +320,23 @@ impl Exporter {
         self.close(pid, tid, args);
     }
 
-    fn counter(
-        &mut self,
-        at: SimTime,
-        pid: u64,
-        name: fmt::Arguments<'_>,
-        args: fmt::Arguments<'_>,
-    ) {
-        self.open(name, "C");
+    /// Writes an `sm-utilization` counter line. Replans are most of a
+    /// recorded stream, so the line is assembled from literals and
+    /// [`Digits`] with no `core::fmt` call; a utilization outside
+    /// [`Digits::four_decimals`]'s range keeps the `{:.4}` path.
+    fn replan(&mut self, at: SimTime, pid: u64, computing: u32, utilization: f64) {
+        self.out.push_str("  {\"name\":\"sm-utilization\",\"ph\":\"C\"");
         self.micros(",\"ts\":", at.as_nanos());
-        self.close(pid, 0, args);
+        self.out.push_str(",\"pid\":");
+        self.out.push_str(Digits::int(pid).as_str());
+        self.out.push_str(",\"tid\":0,\"args\":{\"busy\":");
+        self.out.push_str(Digits::int(u64::from(computing)).as_str());
+        self.out.push_str(",\"utilization\":");
+        match Digits::four_decimals(utilization) {
+            Some(digits) => self.out.push_str(digits.as_str()),
+            None => write!(self.out, "{:.4}", Num(utilization)).expect(INFALLIBLE),
+        }
+        self.out.push_str("}},\n");
     }
 
     fn push(&mut self, ev: &TelemetryEvent) {
@@ -332,12 +389,7 @@ impl Exporter {
                 }
             }
             EventKind::Replan { computing, utilization } => {
-                self.counter(
-                    ev.at,
-                    pid,
-                    format_args!("sm-utilization"),
-                    format_args!("\"busy\":{computing},\"utilization\":{:.4}", Num(*utilization)),
-                );
+                self.replan(ev.at, pid, *computing, *utilization);
             }
             EventKind::AdmissionAccepted { task, release_index, priority, context, migrated } => {
                 self.instant(
@@ -1235,6 +1287,95 @@ mod tests {
         let line =
             line_of(EventKind::AdmissionModeChanged { hpa_enabled: false, load_ratio: -0.0 });
         assert!(line.contains("\"load_ratio\":-0}"), "{line}");
+    }
+
+    /// `Digits::four_decimals` agrees with `format!("{:.4}")` wherever it
+    /// answers, and answers exactly on `+0.0 <= v < 2³²`.
+    fn assert_four_decimals(v: f64) {
+        let fast = Digits::four_decimals(v);
+        let in_range = v.is_sign_positive() && v < 4_294_967_296.0;
+        assert_eq!(fast.is_some(), in_range, "{v:e} (bits {:#018x})", v.to_bits());
+        if let Some(digits) = fast {
+            assert_eq!(digits.as_str(), format!("{v:.4}"), "{v:e} (bits {:#018x})", v.to_bits());
+        }
+    }
+
+    /// The neighbouring doubles of a positive finite `v` (`f64::next_up`
+    /// and `next_down` need a newer toolchain than the workspace's MSRV).
+    fn neighbours(v: f64) -> [f64; 3] {
+        let bits = v.to_bits();
+        [f64::from_bits(bits.saturating_sub(1)), v, f64::from_bits(bits + 1)]
+    }
+
+    #[test]
+    fn four_decimals_matches_core_fmt_at_the_edges() {
+        let limit = 4_294_967_296.0f64;
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            limit,
+            f64::from_bits(limit.to_bits() - 1),
+            -f64::from_bits(1),
+            -1.0 / 32.0,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_four_decimals(v);
+        }
+        assert_eq!(Digits::four_decimals(1.0 / 32.0).expect("in range").as_str(), "0.0312");
+        assert_eq!(Digits::four_decimals(3.0 / 32.0).expect("in range").as_str(), "0.0938");
+        assert_eq!(Digits::four_decimals(0.0).expect("in range").as_str(), "0.0000");
+        // Every rounding boundary x.xxxx5 in [0, 1]: the nearest double and
+        // both of its neighbours.
+        for j in 0..10_000u32 {
+            for v in neighbours(f64::from(2 * j + 1) / 20_000.0) {
+                assert_four_decimals(v);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn four_decimals_matches_core_fmt_on_any_bits(bits in 0u64..u64::MAX) {
+            assert_four_decimals(f64::from_bits(bits));
+        }
+
+        #[test]
+        fn four_decimals_matches_core_fmt_on_unit_interval(v in 0.0f64..1.0) {
+            assert_four_decimals(v);
+        }
+
+        /// The only exact ties at four decimals are odd multiples of 1/32;
+        /// other dyadic rationals sit on or near many boundaries too.
+        #[test]
+        fn four_decimals_matches_core_fmt_on_dyadic_ties(
+            k in 0u64..1 << 37,
+            numerator in 0u64..1 << 53,
+            n in 0u32..64,
+        ) {
+            assert_four_decimals((2 * k + 1) as f64 / 32.0);
+            assert_four_decimals(numerator as f64 / 2f64.powi(n as i32));
+        }
+
+        /// Rounding boundaries `j + 0.00005`-style across the whole range.
+        #[test]
+        fn four_decimals_matches_core_fmt_beside_boundaries(j in 0u64..(1 << 32) * 10_000) {
+            for v in neighbours((2 * j + 1) as f64 / 20_000.0) {
+                assert_four_decimals(v);
+            }
+        }
+
+        #[test]
+        fn four_decimals_matches_core_fmt_on_subnormals(fraction in 0u64..1 << 52) {
+            assert_four_decimals(f64::from_bits(fraction));
+            assert_four_decimals(-f64::from_bits(fraction));
+        }
     }
 
     /// Random event streams for the oracle property: every `EventKind`

@@ -78,8 +78,11 @@ impl MemorySink {
     /// Moves the whole buffer out in record order, leaving it empty. Same
     /// observable result as [`drain`](MemorySink::drain), but swaps the
     /// backing storage out wholesale instead of moving events one by one —
-    /// the cluster dispatcher's round merge uses this so per-round cost is a
-    /// pointer swap, not O(events).
+    /// the cluster dispatcher's round merge uses this. The conversion to a
+    /// `Vec` is a pointer swap only while the ring has not dropped an event
+    /// since it was last taken, so its contents start at the front of the
+    /// allocation; once it has wrapped, `Vec::from(VecDeque)` moves the
+    /// events into place, which is O(events).
     pub fn take_all(&self) -> Vec<TelemetryEvent> {
         std::mem::take(&mut self.lock().events).into()
     }
